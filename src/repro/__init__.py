@@ -6,7 +6,8 @@ routers validate it and police every sender with per-(sender, bottleneck)
 rate limiters, and victims can withhold the feedback to suppress unwanted
 traffic entirely.
 
-Package map (see DESIGN.md for the full inventory):
+Package map (the "Architecture map" section of README.md lists every
+subpackage, including the live runtime, telemetry, store and linter):
 
 * :mod:`repro.simulator` — packet-level discrete-event simulator substrate.
 * :mod:`repro.transport` — TCP (Reno-style), UDP/on-off attack sources, and

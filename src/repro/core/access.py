@@ -23,7 +23,7 @@ network.  For every packet arriving from one of its own hosts it:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple
 
 from repro.core.domain import NetFenceDomain
 from repro.core.feedback import FeedbackStamper
@@ -33,11 +33,13 @@ from repro.core.ratelimiter import RegularRateLimiter, RequestRateLimiter
 from repro.crypto.keys import AccessRouterSecret
 from repro.obs.metrics import get_registry
 from repro.obs.trace import ReasonCode, active_tracer
-from repro.runtime.clock import Clock
 from repro.simulator.engine import PeriodicTimer
 from repro.simulator.link import Link
 from repro.simulator.node import Router
 from repro.simulator.packet import Packet, PacketType
+
+if TYPE_CHECKING:
+    from repro.runtime.clock import Clock
 
 
 class NetFenceAccessRouter(Router):

@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional
+from typing import TYPE_CHECKING, Callable, Dict, Optional
 
 from repro.seeding import derive_seed
 
@@ -37,7 +37,6 @@ from repro.core.header import HEADER_KEY, NetFenceHeader
 from repro.core.params import NetFenceParams
 from repro.obs.metrics import get_registry
 from repro.obs.trace import ReasonCode, active_tracer
-from repro.runtime.clock import Clock
 from repro.simulator.engine import PeriodicTimer
 from repro.simulator.fairqueue import DRRQueue, per_source_as_key
 from repro.simulator.link import Link
@@ -50,6 +49,9 @@ from repro.simulator.queues import (
     REDQueue,
 )
 from repro.simulator.trace import EWMA
+
+if TYPE_CHECKING:
+    from repro.runtime.clock import Clock
 
 
 class NetFenceChannelQueue(PacketQueue):

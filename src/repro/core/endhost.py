@@ -24,15 +24,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Set
+from typing import TYPE_CHECKING, Dict, Optional, Set
 
 from repro.core.feedback import Feedback
 from repro.core.header import HEADER_KEY, NetFenceHeader
 from repro.core.params import NetFenceParams
-from repro.runtime.clock import Clock
 from repro.simulator.engine import PeriodicTimer
 from repro.simulator.node import Host
 from repro.simulator.packet import Packet, PacketType
+
+if TYPE_CHECKING:
+    from repro.runtime.clock import Clock
 
 #: Size of a dedicated feedback packet (40 B transport/IP + 28 B NetFence).
 FEEDBACK_PACKET_SIZE = 68

@@ -21,12 +21,14 @@ rate limiters' accounting.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 from repro.core.access import NetFenceAccessRouter
 from repro.core.ratelimiter import RegularRateLimiter
-from repro.runtime.clock import Clock
 from repro.simulator.engine import PeriodicTimer
+
+if TYPE_CHECKING:
+    from repro.runtime.clock import Clock
 
 
 @dataclass

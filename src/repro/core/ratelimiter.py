@@ -20,13 +20,15 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, Optional
+from typing import TYPE_CHECKING, Callable, Deque, Optional
 
 from repro.core.feedback import Feedback
 from repro.core.params import NetFenceParams
 from repro.obs.trace import ReasonCode, active_tracer
-from repro.runtime.clock import Clock, ClockHandle
 from repro.simulator.packet import Packet
+
+if TYPE_CHECKING:
+    from repro.runtime.clock import Clock, ClockHandle
 
 #: Policing verdicts, mirroring the paper's pseudo-code.
 PASS = "pass"

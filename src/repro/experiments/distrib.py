@@ -179,7 +179,9 @@ class WorkQueue:
         Exactly-once claiming rests on ``O_CREAT | O_EXCL``: however many
         workers race on the same key, one lease-file create succeeds.  An
         expired lease is first renamed away (one stealer wins the rename),
-        after which the key is claimable again.
+        after which the key is claimable again.  A stealer whose rename
+        took a different lease than the one it judged expired (a faster
+        stealer's fresh lease) restores it and moves on.
         """
         for name in sorted(os.listdir(self.tasks_dir)):
             if not name.endswith(".task"):
@@ -212,10 +214,22 @@ class WorkQueue:
                     os.replace(lease_path, stale)
                 except OSError:
                     continue
+                taken = self._read_json(stale)
+                lost_race = (taken or {}).get("nonce") != (existing or {}).get("nonce")
+                if lost_race:
+                    # Not the lease judged expired: a faster stealer already
+                    # replaced it with a live one.  Put that back (os.link
+                    # never clobbers a claim made meanwhile) and move on.
+                    try:
+                        os.link(stale, lease_path)
+                    except OSError:
+                        pass
                 try:
                     os.unlink(stale)
                 except OSError:
                     pass
+                if lost_race:
+                    continue
             try:
                 fd = os.open(lease_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
             except FileExistsError:

@@ -13,7 +13,7 @@ seconds of propagation.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.simulator.engine import Simulator
 from repro.simulator.packet import Packet
@@ -69,12 +69,6 @@ class Link:
         self.packets_delivered = 0
         self.bytes_offered = 0
         self.packets_offered = 0
-        #: Optional per-packet trace hooks, called as ``tap(packet, link)``
-        #: when a packet finishes serialization / is delivered downstream.
-        #: ``None`` (the default) keeps the transmit path hook-free — the
-        #: fast path is a single attribute test per packet.
-        self.transmit_tap: Optional[Callable[[Packet, "Link"], None]] = None
-        self.deliver_tap: Optional[Callable[[Packet, "Link"], None]] = None
         #: Cached once: whether the queue is rate-capped (exposes
         #: ``time_until_ready``), so the drain path skips the ``getattr``.
         self._time_until_ready = getattr(queue, "time_until_ready", None)
@@ -131,21 +125,10 @@ class Link:
     def _finish_transmission(self, packet: Packet) -> None:
         self.bytes_delivered += packet.size_bytes
         self.packets_delivered += 1
-        if self.transmit_tap is not None:
-            self.transmit_tap(packet, self)
-        # Delivery events are never cancelled either; with no deliver tap
-        # attached, skip the _deliver wrapper frame and hand the packet
-        # straight to the downstream node's receive.
-        if self.deliver_tap is None:
-            self._schedule_fast(self.delay_s, self.dst_node.receive, (packet, self))
-        else:
-            self._schedule_fast(self.delay_s, self._deliver, (packet,))
+        # Delivery events are never cancelled either: hand the packet
+        # straight to the downstream node's receive after propagation.
+        self._schedule_fast(self.delay_s, self.dst_node.receive, (packet, self))
         self._start_next_transmission()
-
-    def _deliver(self, packet: Packet) -> None:
-        if self.deliver_tap is not None:
-            self.deliver_tap(packet, self)
-        self.dst_node.receive(packet, self)
 
     # -- accounting ----------------------------------------------------------
     def utilization(self, since: float = 0.0, now: Optional[float] = None) -> float:

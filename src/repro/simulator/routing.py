@@ -1,20 +1,54 @@
 """Static shortest-path routing.
 
-Routes are computed once, after the topology is built, with networkx's
-shortest-path algorithm over the node graph (weighted by link propagation
-delay).  Every router gets a ``destination host -> next-hop link`` entry for
-every host in the topology.  The paper assumes relatively stable paths
-(§7, "ECMP"), so static routing is sufficient.
+Routes are computed once, after the topology is built, with a plain
+:mod:`heapq` Dijkstra over the node graph, weighted by link propagation
+delay.  Every router gets a ``destination host -> next-hop link`` entry for
+every host it can reach.  The paper assumes relatively stable paths (§7,
+"ECMP"), so one static table per topology is sufficient.
+
+Equal-cost ties are broken deterministically, the same way networkx's
+``single_source_dijkstra_path`` breaks them: heap entries carry an insertion
+counter, a node's path is replaced only by a strictly shorter one, and a
+node's outgoing links are scanned in the order they were first attached (a
+second link between the same pair replaces the first in place).  So of two
+equal-delay paths, the one through the earlier-attached link wins.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable
-
-import networkx as nx
+import heapq
+from itertools import count
+from typing import Dict, Iterable, List, Set
 
 from repro.simulator.link import Link
 from repro.simulator.node import Host, Node, Router
+
+#: ``src name -> {dst name -> link}``, in link attachment order.
+Adjacency = Dict[str, Dict[str, Link]]
+
+
+def _shortest_paths(adjacency: Adjacency, source: str) -> Dict[str, List[str]]:
+    """Delay-weighted shortest path (as a node-name list) from ``source`` to
+    every node it reaches, ``source`` itself included as ``[source]``."""
+    paths: Dict[str, List[str]] = {source: [source]}
+    done: Set[str] = set()
+    seen: Dict[str, float] = {source: 0.0}
+    tie = count()
+    fringe = [(0.0, next(tie), source)]
+    while fringe:
+        dist, _, node = heapq.heappop(fringe)
+        if node in done:
+            continue
+        done.add(node)
+        for nxt, link in adjacency.get(node, {}).items():
+            if nxt in done:
+                continue
+            nxt_dist = dist + link.delay_s
+            if nxt not in seen or nxt_dist < seen[nxt]:
+                seen[nxt] = nxt_dist
+                heapq.heappush(fringe, (nxt_dist, next(tie), nxt))
+                paths[nxt] = paths[node] + [nxt]
+    return paths
 
 
 def build_routes(nodes: Iterable[Node], links: Iterable[Link]) -> None:
@@ -26,30 +60,18 @@ def build_routes(nodes: Iterable[Node], links: Iterable[Link]) -> None:
     """
     nodes = list(nodes)
     links = list(links)
-    graph = nx.DiGraph()
-    for node in nodes:
-        graph.add_node(node.name)
-    link_by_pair: Dict[tuple[str, str], Link] = {}
+    adjacency: Adjacency = {}
     for link in links:
-        graph.add_edge(link.src_node.name, link.dst_node.name, weight=link.delay_s)
-        link_by_pair[(link.src_node.name, link.dst_node.name)] = link
+        adjacency.setdefault(link.src_node.name, {})[link.dst_node.name] = link
 
     hosts = [n for n in nodes if isinstance(n, Host)]
     routers = [n for n in nodes if isinstance(n, Router)]
-
-    # All-pairs shortest paths from each router to every host.
     for router in routers:
-        paths = nx.single_source_dijkstra_path(graph, router.name, weight="weight")
+        paths = _shortest_paths(adjacency, router.name)
         for host in hosts:
-            if host.name == router.name:
-                continue
             path = paths.get(host.name)
-            if path is None or len(path) < 2:
-                continue
-            next_hop = path[1]
-            link = link_by_pair.get((router.name, next_hop))
-            if link is not None:
-                router.add_route(host.name, link)
+            if path is not None and len(path) >= 2:
+                router.add_route(host.name, adjacency[router.name][path[1]])
 
     # Register locally attached hosts so access routers can tell their own
     # senders apart from transit traffic.

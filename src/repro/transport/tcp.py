@@ -23,12 +23,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional, Set
+from typing import TYPE_CHECKING, Callable, Optional, Set
 
-from repro.runtime.clock import Clock, ClockHandle
 from repro.simulator.node import Host
 from repro.simulator.packet import ACK_PACKET_SIZE, Packet, PacketType
 from repro.simulator.trace import ThroughputMonitor
+
+if TYPE_CHECKING:
+    from repro.runtime.clock import Clock, ClockHandle
 
 #: Maximum segment size (payload bytes per data packet).
 MSS = 1460

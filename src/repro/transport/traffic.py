@@ -13,13 +13,15 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import TYPE_CHECKING, Callable, List, Optional
 
 from repro.seeding import derive_seed
-from repro.runtime.clock import Clock
 from repro.simulator.node import Host
 from repro.simulator.trace import ThroughputMonitor
 from repro.transport.tcp import TcpReceiver, TcpSender, TcpTransferResult
+
+if TYPE_CHECKING:
+    from repro.runtime.clock import Clock
 
 
 def web_file_size_sampler(

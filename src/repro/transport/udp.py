@@ -10,13 +10,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Optional, Tuple
 
 from repro.core.params import NetFenceParams
-from repro.runtime.clock import Clock
 from repro.simulator.node import Host
 from repro.simulator.packet import DATA_PACKET_SIZE, Packet, PacketType
 from repro.simulator.trace import ThroughputMonitor
+
+if TYPE_CHECKING:
+    from repro.runtime.clock import Clock
 
 
 @dataclass

@@ -141,6 +141,29 @@ def test_expired_lease_is_reclaimable_and_loser_detects_theft(tmp_path):
     queue.renew(winners[0], ttl=30.0)
 
 
+def test_stealer_with_a_stale_read_cannot_take_a_fresh_lease(tmp_path, monkeypatch):
+    """Regression: a stealer that judged a lease expired, but lost the steal
+    to a faster worker before acting, must not rename the winner's fresh
+    lease away and claim the task a second time."""
+    root = str(tmp_path / "q")
+    queue = WorkQueue(root)
+    queue.submit(bench_specs(1))
+    assert queue.claim("w0", ttl=0.05) is not None
+    time.sleep(0.1)
+    fast = []
+    read_json = queue._read_json
+
+    def read_then_lose_the_race(path):
+        seen = read_json(path)
+        if path.endswith(".lease") and not fast:
+            fast.append(WorkQueue(root).claim("fast-thief", ttl=30.0))
+        return seen
+
+    monkeypatch.setattr(queue, "_read_json", read_then_lose_the_race)
+    assert queue.claim("slow-thief", ttl=30.0) is None
+    assert fast[0] is not None and WorkQueue(root).owns(fast[0])
+
+
 def test_corrupt_lease_file_is_stolen_after_grace(tmp_path):
     """Regression: a 0-byte lease (claimer died between the O_EXCL create
     and the JSON write) must become claimable once its mtime + ttl passes,

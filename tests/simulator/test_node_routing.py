@@ -1,6 +1,8 @@
 """Tests for hosts, routers, routing, and topology construction."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.simulator.node import Router
 from repro.simulator.packet import Packet
@@ -149,3 +151,132 @@ def test_parking_lot_layout_structure():
     # Group C traffic leaves the parking lot at R2.
     hop_c = r1.route_for(Packet(src="c0", dst=layout.receivers_c[0]))
     assert hop_c.dst_node.name == "R2"
+
+
+# -- shortest-path routing ------------------------------------------------
+
+
+def _diamond(first_via: str, delay_a: float = 0.002, delay_b: float = 0.002) -> Topology:
+    """R0 -> {RA, RB} -> R3 -> h, with R0's link to ``first_via`` attached first."""
+    topo = Topology()
+    for name in ("R0", "RA", "RB", "R3"):
+        topo.add_router(name)
+    topo.add_host("h")
+    delays = {"RA": delay_a, "RB": delay_b}
+    second_via = "RB" if first_via == "RA" else "RA"
+    for via in (first_via, second_via):
+        topo.add_link("R0", via, 1e6, delays[via])
+    for via in ("RA", "RB"):
+        topo.add_link(via, "R3", 1e6, 0.001)
+    topo.add_duplex_link("R3", "h", 1e6, 0.001)
+    topo.finalize()
+    return topo
+
+
+@pytest.mark.parametrize("first_via", ["RA", "RB"])
+def test_equal_cost_tie_goes_to_first_attached_link(first_via):
+    topo = _diamond(first_via)
+    assert topo.router("R0").routes["h"].dst_node.name == first_via
+
+
+def test_strictly_shorter_path_beats_attachment_order():
+    topo = _diamond("RA", delay_a=0.003, delay_b=0.002)
+    assert topo.router("R0").routes["h"].dst_node.name == "RB"
+
+
+def test_readded_link_keeps_its_original_tie_break_slot():
+    topo = Topology()
+    for name in ("R0", "RA", "RB", "R3"):
+        topo.add_router(name)
+    topo.add_host("h")
+    topo.add_link("R0", "RA", 1e6, 0.002)
+    topo.add_link("R0", "RB", 1e6, 0.002)
+    readded = topo.add_link("R0", "RA", 2e6, 0.002)
+    for via in ("RA", "RB"):
+        topo.add_link(via, "R3", 1e6, 0.001)
+    topo.add_duplex_link("R3", "h", 1e6, 0.001)
+    topo.finalize()
+    # RA still wins the tie, and the route uses the latest R0->RA link.
+    assert topo.router("R0").routes["h"] is readded
+
+
+def test_zero_delay_links_route():
+    topo = Topology()
+    topo.add_host("a")
+    topo.add_host("b")
+    for name in ("R1", "R2", "R3"):
+        topo.add_router(name)
+    topo.add_duplex_link("a", "R1", 1e6, 0.0)
+    topo.add_duplex_link("R1", "R2", 1e6, 0.0)
+    topo.add_duplex_link("R1", "R3", 1e6, 0.0)
+    topo.add_duplex_link("R2", "R3", 1e6, 0.0)
+    topo.add_duplex_link("R3", "b", 1e6, 0.0)
+    topo.finalize()
+    # Every path to b costs 0: R1 keeps the path it found first (the
+    # direct R1->R3 link), since R1->R2->R3 is no shorter.
+    assert topo.router("R1").routes["b"].dst_node.name == "R3"
+    assert topo.router("R2").routes["b"].dst_node.name == "R3"
+    assert topo.router("R3").routes["a"].dst_node.name == "R1"
+
+
+def test_unreachable_host_gets_no_route():
+    topo = Topology()
+    topo.add_host("a")
+    topo.add_host("b")
+    topo.add_host("island")
+    topo.add_router("R1")
+    topo.add_router("R2")
+    topo.add_duplex_link("a", "R1", 1e6, 0.001)
+    topo.add_duplex_link("R1", "R2", 1e6, 0.001)
+    topo.add_link("R2", "b", 1e6, 0.001)  # b can receive but not send
+    topo.finalize()
+    r1, r2 = topo.router("R1"), topo.router("R2")
+    assert "island" not in r1.routes and "island" not in r2.routes
+    assert r1.route_for(Packet(src="a", dst="island")) is None
+    assert r1.routes["b"].dst_node.name == "R2"
+    assert "b" not in topo.router("R2").local_hosts
+
+
+_DELAYS = st.one_of(st.sampled_from([0.0, 0.001, 0.002]),
+                    st.floats(min_value=0.0, max_value=0.01))
+
+
+@st.composite
+def _random_topologies(draw):
+    """Node names (routers first) plus directed ``(src, dst, delay)`` links,
+    with heavy delay ties, zero delays and repeated node pairs."""
+    routers = [f"R{i}" for i in range(draw(st.integers(1, 5)))]
+    hosts = [f"h{i}" for i in range(draw(st.integers(1, 4)))]
+    names = routers + hosts
+    links = draw(st.lists(st.tuples(st.sampled_from(names), st.sampled_from(names), _DELAYS),
+                          max_size=20))
+    return routers, hosts, links
+
+
+def test_routes_match_networkx_dijkstra_oracle():
+    nx = pytest.importorskip("networkx")
+
+    @settings(max_examples=300, deadline=None)
+    @given(_random_topologies())
+    def check(case):
+        routers, hosts, specs = case
+        topo = Topology()
+        for name in routers:
+            topo.add_router(name)
+        for name in hosts:
+            topo.add_host(name)
+        graph = nx.DiGraph()
+        graph.add_nodes_from(topo.nodes)
+        last_link = {}
+        for src, dst, delay in specs:
+            link = topo.add_link(src, dst, 1e6, delay)
+            graph.add_edge(src, dst, weight=delay)
+            last_link[(src, dst)] = link
+        topo.finalize()
+        for name in routers:
+            paths = nx.single_source_dijkstra_path(graph, name, weight="weight")
+            expected = {host: last_link[(name, paths[host][1])]
+                        for host in hosts if len(paths.get(host, ())) >= 2}
+            assert topo.router(name).routes == expected
+
+    check()
